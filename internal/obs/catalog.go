@@ -16,9 +16,10 @@ const (
 	MQueueQueuedMessages   = "mobigate_queue_queued_messages"
 	MQueueQueuedBytes      = "mobigate_queue_queued_bytes"
 
-	// Batched data plane (PostN/FetchN and the batch pumps): items moved
-	// per batched operation (the size histograms record counts, not
-	// seconds) and batched post flushes.
+	// Batched data plane (PostN/FetchN with room for more than one item —
+	// every executor loop with batch > 1 fetches and flushes through them):
+	// items moved per batched operation (the size histograms record counts,
+	// not seconds) and batched post flushes.
 	MBatchPostSize     = "mobigate_batch_post_size"
 	MBatchFetchSize    = "mobigate_batch_fetch_size"
 	MBatchFlushesTotal = "mobigate_batch_flushes_total"
@@ -201,7 +202,7 @@ func registerCatalog(r *Registry) {
 		{MAdaptSuppressedTotal, "Policy firings suppressed by cooldown or because the action was already in effect."},
 		{MAdaptFailuresTotal, "Policy actions that failed to apply (e.g. drain timeout)."},
 		{MAdaptReloadsTotal, "MCL hot-reloads applied to running servers."},
-		{MBatchFlushesTotal, "Batched post flushes (PostN calls) across all channel queues."},
+		{MBatchFlushesTotal, "Batched post flushes (PostN calls of more than one entry) across all channel queues."},
 		{MFusionDefuseTotal, "Fused segments dissolved back into per-hop execution (reconfiguration, heal, workers change, or stream end)."},
 		{MSessionSampleOverflowTotal, "Sessions selected by the SLO sampler but refused because the slot pool was exhausted."},
 		{MSessionSLOViolationsTotal, "Per-session latency-budget violations detected on sampled sessions (edge-triggered per session)."},
@@ -253,8 +254,8 @@ func registerCatalog(r *Registry) {
 		{MStreamletProcessSeconds, "Per-streamlet processMsg latency (Figure 7-2 quantity), labeled by streamlet id."},
 		{MStreamReconfigSeconds, "Reconfiguration duration (Equation 7-1 total)."},
 		{MLinkTransferSeconds, "Modelled per-message link transfer time (Equation 7-2 transfer term)."},
-		{MBatchPostSize, "Items posted per batched PostN flush (count per operation, not seconds)."},
-		{MBatchFetchSize, "Items drained per batched FetchN operation (count per operation, not seconds)."},
+		{MBatchPostSize, "Items posted per batched PostN flush of more than one entry (count per operation, not seconds)."},
+		{MBatchFetchSize, "Items drained per batched FetchN operation into a buffer of more than one item (count per operation, not seconds)."},
 	} {
 		r.Histogram(h.name, h.help, nil)
 	}

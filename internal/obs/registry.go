@@ -343,13 +343,21 @@ func (r *Registry) sortedSeries(f *family) []string {
 	return keys
 }
 
+// familyHelp reads a family's help text under the registry lock: metric
+// registration may fill it in while an exposition is rendering.
+func (r *Registry) familyHelp(f *family) string {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return f.help
+}
+
 // WritePrometheus renders the registry in the Prometheus text exposition
 // format (version 0.0.4). Histograms are rendered as summaries with
 // quantile series plus _sum and _count.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	for _, f := range r.sortedFamilies() {
-		if f.help != "" {
-			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", f.name, f.help); err != nil {
+		if help := r.familyHelp(f); help != "" {
+			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", f.name, help); err != nil {
 				return err
 			}
 		}
@@ -447,11 +455,12 @@ type jsonMetric struct {
 func (r *Registry) WriteJSON(w io.Writer) error {
 	out := make(map[string]jsonMetric)
 	for _, f := range r.sortedFamilies() {
+		help := r.familyHelp(f)
 		for _, lk := range r.sortedSeries(f) {
 			r.mu.RLock()
 			m := f.series[lk]
 			r.mu.RUnlock()
-			jm := jsonMetric{Type: f.kind.String(), Help: f.help}
+			jm := jsonMetric{Type: f.kind.String(), Help: help}
 			switch v := m.(type) {
 			case *Counter:
 				fv := float64(v.Value())

@@ -94,12 +94,14 @@ type SessionSLOSample struct {
 	Stale       bool   `json:"stale,omitempty"`
 }
 
-// snapshotAt renders the slot; quantiles follow the registry age-out rule.
-// The ring is read racily against concurrent observes — each cell is a
-// single atomic load, and a torn window only blurs quantiles by one sample.
+// snapshotAt renders the slot's counters and quantiles; quantiles follow
+// the registry age-out rule. The ring is read racily against concurrent
+// observes — each cell is a single atomic load, and a torn window only
+// blurs quantiles by one sample. The owner id is left to the caller, which
+// reads it under the sampler lock (AcquireSlot rewrites it there when the
+// slot is recycled).
 func (sl *SessionSlot) snapshotAt(now int64, scratch []int64) SessionSLOSample {
 	s := SessionSLOSample{
-		ID:          sl.id,
 		Count:       sl.writes.Load(),
 		Violations:  sl.violations.Load(),
 		InViolation: sl.inViolation.Load(),
@@ -347,8 +349,10 @@ func (c *SessionStatsCollector) Snapshot(k int) SessionStatsSnapshot {
 	now := MonoNow()
 	c.mu.Lock()
 	slots := make([]*SessionSlot, 0, len(c.active))
+	ids := make([]string, 0, len(c.active))
 	for sl := range c.active {
 		slots = append(slots, sl)
+		ids = append(ids, sl.id)
 	}
 	overflow := uint64(0)
 	if c.overflow != nil {
@@ -364,8 +368,10 @@ func (c *SessionStatsCollector) Snapshot(k int) SessionStatsSnapshot {
 		Samples:    make([]SessionSLOSample, 0, len(slots)),
 	}
 	scratch := make([]int64, 0, sessionSlotWindow)
-	for _, sl := range slots {
-		snap.Samples = append(snap.Samples, sl.snapshotAt(now, scratch))
+	for i, sl := range slots {
+		smp := sl.snapshotAt(now, scratch)
+		smp.ID = ids[i]
+		snap.Samples = append(snap.Samples, smp)
 	}
 	sort.Slice(snap.Samples, func(i, j int) bool { return snap.Samples[i].ID < snap.Samples[j].ID })
 

@@ -35,7 +35,9 @@ type Entry struct {
 // in ascending order. err is ErrDropped when at least one entry timed out
 // on a full queue (the rest were still attempted), or ErrClosed/ErrCanceled
 // when the batch was cut short; posted + len(failed) == len(entries)
-// always.
+// always. A one-entry PostN is a single-item post: it feeds the post
+// metrics but not the batch-size histogram, the flush counter, or the
+// flight recorder's batch-flush entry.
 func (q *Queue) PostN(entries []Entry, stop <-chan struct{}) (posted int, failed []int, err error) {
 	if len(entries) == 0 {
 		return 0, nil, nil
@@ -56,10 +58,12 @@ func (q *Queue) PostN(entries []Entry, stop <-chan struct{}) (posted int, failed
 	if dropped > 0 {
 		mDropTotal.Add(uint64(dropped))
 	}
-	mBatchPostSize.Observe(float64(posted))
-	mBatchFlushes.Inc()
-	if obs.SpansEnabled() {
-		obs.FlightRecord(obs.FlightBatchFlush, q.name, "", int64(posted))
+	if len(entries) > 1 {
+		mBatchPostSize.Observe(float64(posted))
+		mBatchFlushes.Inc()
+		if obs.SpansEnabled() {
+			obs.FlightRecord(obs.FlightBatchFlush, q.name, "", int64(posted))
+		}
 	}
 	return posted, failed, err
 }
@@ -108,7 +112,7 @@ func (q *Queue) postN(entries []Entry, stop <-chan struct{}) (posted, dropped in
 				// Each blocked entry gets its own grace period, exactly as a
 				// sequence of single Posts would (Figure 6-9).
 				if timer == nil {
-					timer = acquireTimer(q.opts.DropTimeout)
+					timer = AcquireTimer(q.opts.DropTimeout)
 				} else {
 					timer.Reset(q.opts.DropTimeout)
 				}
@@ -161,7 +165,7 @@ func (q *Queue) postN(entries []Entry, stop <-chan struct{}) (posted, dropped in
 
 func releaseBatchTimer(t *time.Timer) {
 	if t != nil {
-		releaseTimer(t)
+		ReleaseTimer(t)
 	}
 }
 
@@ -189,6 +193,7 @@ func (q *Queue) FetchN(dst []Item, stop <-chan struct{}) int {
 	if n > 0 && sampled {
 		mFetchWait.Observe(time.Since(start).Seconds())
 	}
+	observeDrain(dst, n)
 	return n
 }
 
@@ -196,12 +201,28 @@ func (q *Queue) FetchN(dst []Item, stop <-chan struct{}) int {
 // the gate fires the fetch is retracted without consuming anything, even
 // items that raced in (cancellation wins, as in the single-item path).
 func (q *Queue) FetchNGated(dst []Item, stop, gate <-chan struct{}) int {
-	return q.fetchN(dst, stop, gate, nil)
+	n := q.fetchN(dst, stop, gate, nil)
+	observeDrain(dst, n)
+	return n
 }
 
 // TryFetchN removes up to len(dst) items without blocking, returning how
 // many were taken.
 func (q *Queue) TryFetchN(dst []Item) int {
+	n := q.tryFetchN(dst)
+	observeDrain(dst, n)
+	return n
+}
+
+// observeDrain feeds the drain-size histogram for a batched fetch. A fetch
+// into a one-item buffer is a single-item operation and is not counted.
+func observeDrain(dst []Item, n int) {
+	if n > 0 && len(dst) > 1 {
+		mBatchFetchSize.Observe(float64(n))
+	}
+}
+
+func (q *Queue) tryFetchN(dst []Item) int {
 	if len(dst) == 0 {
 		return 0
 	}
@@ -257,11 +278,10 @@ func (q *Queue) takeNLocked(dst []Item) int {
 	mFetchTotal.Add(uint64(n))
 	if !q.closed {
 		// Residual items already left the gateway-wide gauges at Close;
-		// draining them must not subtract twice (same rule as takeLocked).
+		// draining them must not subtract twice.
 		mQueuedMsgs.Add(int64(-n))
 		mQueuedBytes.Add(int64(-bytes))
 	}
-	mBatchFetchSize.Observe(float64(n))
 	q.broadcastLocked()
 	return n
 }

@@ -210,16 +210,13 @@ func batchStressRun(t *testing.T, seed int64, mode mcl.ChannelMode) {
 	const producers, consumers, opsPerWorker = 4, 3, 60
 
 	var fetchedCount atomic.Int64
-	var mu sync.Mutex
-	var order []string // every fetched MsgID, in fetch order
-	record := func(items []Item) {
-		fetchedCount.Add(int64(len(items)))
-		mu.Lock()
-		for _, it := range items {
-			order = append(order, it.MsgID)
-		}
-		mu.Unlock()
-	}
+	record := func(items []Item) { fetchedCount.Add(int64(len(items))) }
+	// Every fetched MsgID in true fetch order: the hook runs under the queue
+	// lock. (Consumers appending after their fetch returns would record an
+	// interleaving of their own, not the queue's order.) Read only after
+	// the final drain below, which also takes the queue lock.
+	var order []string
+	q.onDequeue = func(it Item) { order = append(order, it.MsgID) }
 
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {

@@ -152,6 +152,10 @@ type Queue struct {
 	acked atomic.Uint64
 
 	obsTick atomic.Uint64 // wait-histogram sampling counter
+
+	// onDequeue, when set (by tests), observes every fetched item under the
+	// queue lock, so its call order is the true fetch order.
+	onDequeue func(Item)
 }
 
 // New creates a queue named name (the channel instance variable).
@@ -188,11 +192,13 @@ func (q *Queue) sampleObs() bool {
 	return q.obsTick.Add(1)&(1<<obsSampleShift-1) == 0
 }
 
-// timerPool recycles timers across timed waits (the drop grace period and
-// FetchTimeout) so a timed wait costs no timer allocation.
+// timerPool recycles timers across timed waits (the drop grace period,
+// FetchTimeout, and the streamlet supervisor's deadlines and retry
+// backoffs) so a timed wait costs no timer allocation.
 var timerPool sync.Pool
 
-func acquireTimer(d time.Duration) *time.Timer {
+// AcquireTimer returns a pooled timer armed for d.
+func AcquireTimer(d time.Duration) *time.Timer {
 	if t, _ := timerPool.Get().(*time.Timer); t != nil {
 		t.Reset(d)
 		return t
@@ -200,7 +206,7 @@ func acquireTimer(d time.Duration) *time.Timer {
 	return time.NewTimer(d)
 }
 
-// releaseTimer parks a timer for reuse.
+// ReleaseTimer parks a timer for reuse.
 //
 // Audit note (Stop-vs-drain race): the classic pattern
 //
@@ -218,7 +224,7 @@ func acquireTimer(d time.Duration) *time.Timer {
 // ever delivered, and release needs nothing beyond Stop.
 // TestTimerPoolNoStaleExpiry hammers the fire-vs-release window under
 // -race as the regression gate.
-func releaseTimer(t *time.Timer) {
+func ReleaseTimer(t *time.Timer) {
 	t.Stop()
 	timerPool.Put(t)
 }
@@ -278,51 +284,12 @@ func (q *Queue) Post(msgID string, size int, stop <-chan struct{}) error {
 	return err
 }
 
+// post is a one-entry postN. The batch-size histogram and the flush
+// counter stay with real PostN calls; Post keeps the single-op metrics.
 func (q *Queue) post(msgID string, size int, stop <-chan struct{}) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		return ErrClosed
-	}
-
-	if q.opts.Mode == mcl.Sync {
-		return q.postSyncLocked(msgID, size, stop)
-	}
-
-	if q.queuedSize+size > q.opts.CapacityBytes && q.count > 0 {
-		// Full: wait T, then drop (Figure 6-9). One pooled timer covers the
-		// whole grace period across spurious wakeups.
-		if q.opts.DropTimeout >= 0 {
-			timer := acquireTimer(q.opts.DropTimeout)
-			for q.queuedSize+size > q.opts.CapacityBytes && q.count > 0 && !q.closed {
-				stopFired, timedOut := q.waitLocked(stop, nil, timer.C)
-				if stopFired || timedOut {
-					break
-				}
-			}
-			releaseTimer(timer)
-		} else {
-			for q.queuedSize+size > q.opts.CapacityBytes && q.count > 0 && !q.closed {
-				if stopFired, _ := q.waitLocked(stop, nil, nil); stopFired {
-					return ErrCanceled
-				}
-			}
-		}
-		if q.closed {
-			return ErrClosed
-		}
-		if stopped(stop) {
-			return ErrCanceled
-		}
-		if q.queuedSize+size > q.opts.CapacityBytes && q.count > 0 {
-			q.dropped++
-			return ErrDropped
-		}
-	}
-
-	q.appendLocked(msgID, size)
-	q.broadcastLocked()
-	return nil
+	e := [1]Entry{{MsgID: msgID, Size: size}}
+	_, _, _, err := q.postN(e[:], stop)
+	return err
 }
 
 // appendLocked enqueues one item and maintains the occupancy accounting
@@ -440,7 +407,7 @@ func (q *Queue) syncPendingLocked(msgID string) bool {
 // fetched: the producer is withdrawing an entry whose handoff never
 // completed, so it must vanish from the posted accounting too (the caller
 // is about to report the post as failed). Gauge handling mirrors
-// takeLocked's closed-queue rule — Close already removed residual items
+// takeNLocked's closed-queue rule — Close already removed residual items
 // from the gateway-wide gauges.
 func (q *Queue) retractHeadLocked() {
 	it := q.ring[q.head]
@@ -491,76 +458,35 @@ func (q *Queue) FetchGated(stop, gate <-chan struct{}) (Item, bool) {
 // pooled timer, so a timed receive costs no goroutine and no channel
 // allocation (Outlet.Receive is built on this).
 func (q *Queue) FetchTimeout(d time.Duration) (Item, bool) {
-	timer := acquireTimer(d)
+	timer := AcquireTimer(d)
 	it, ok := q.fetch(nil, nil, timer.C)
-	releaseTimer(timer)
+	ReleaseTimer(timer)
 	return it, ok
 }
 
+// fetch is a one-item fetchN (see post for the metric split).
 func (q *Queue) fetch(stop, gate <-chan struct{}, timeout <-chan time.Time) (Item, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	// A canceled fetch must not consume an item even when one is already
-	// available: a consumer detached (or suspended, via the gate) before its
-	// fetch loop was scheduled would otherwise steal messages destined for
-	// its replacement.
-	if stopped(stop) || stopped(gate) {
+	var dst [1]Item
+	if q.fetchN(dst[:], stop, gate, timeout) == 0 {
 		return Item{}, false
 	}
-	for q.count == 0 {
-		if q.closed {
-			return Item{}, false
-		}
-		q.waitingConsumers++
-		q.broadcastLocked() // wake sync producers waiting for a consumer
-		stopFired, timedOut := q.waitLocked(stop, gate, timeout)
-		q.waitingConsumers--
-		// Re-check the abort channels even on a signal wake: when both race,
-		// cancellation wins and the item is left for the replacement
-		// consumer (see the entry check above).
-		if stopFired || timedOut || stopped(stop) || stopped(gate) {
-			return Item{}, false
-		}
-	}
-	return q.takeLocked(), true
+	return dst[0], true
 }
 
 // TryFetch removes and returns the oldest message reference without
 // blocking.
 func (q *Queue) TryFetch() (Item, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.count == 0 {
+	var dst [1]Item
+	if q.tryFetchN(dst[:]) == 0 {
 		return Item{}, false
 	}
-	return q.takeLocked(), true
+	return dst[0], true
 }
 
-func (q *Queue) takeLocked() Item {
-	it := q.dequeueLocked()
-	mFetchTotal.Inc()
-	if !q.closed {
-		// Residual items were already removed from the gateway-wide gauges
-		// when the queue closed; draining them must not subtract twice.
-		mQueuedMsgs.Add(-1)
-		mQueuedBytes.Add(-int64(it.Size))
-	}
-	q.broadcastLocked()
-	return it
-}
-
-// dequeueLocked is the gauge- and broadcast-free dequeue core. FetchN runs
-// it per item and settles the counters, gauges, and producer wakeup once
-// per batch.
-func (q *Queue) dequeueLocked() Item {
-	var now int64
-	return q.dequeueFlagsLocked(obs.SpansEnabled(), &now)
-}
-
-// dequeueFlagsLocked is dequeueLocked with the spans toggle read by the
-// caller and the clock read cached across a batch drain: *nowNs is filled
-// on the first stamped item and reused for the rest, since the whole batch
-// leaves the queue at one instant.
+// dequeueFlagsLocked is the gauge- and broadcast-free dequeue core, with
+// the spans toggle read by the caller and the clock read cached across a
+// batch drain: *nowNs is filled on the first stamped item and reused for
+// the rest, since the whole batch leaves the queue at one instant.
 func (q *Queue) dequeueFlagsLocked(spans bool, nowNs *int64) Item {
 	it := q.ring[q.head]
 	q.ring[q.head] = Item{} // release the msgID string
@@ -579,6 +505,9 @@ func (q *Queue) dequeueFlagsLocked(spans bool, nowNs *int64) Item {
 	}
 	if spans {
 		obs.FlightRecord(obs.FlightDequeue, q.name, it.MsgID, int64(it.Wait))
+	}
+	if q.onDequeue != nil {
+		q.onDequeue(it)
 	}
 	return it
 }
@@ -680,7 +609,7 @@ func (q *Queue) Counts() (producers, consumers int) {
 //
 // Close also reconciles the gateway-wide occupancy gauges: residual items
 // stop counting as queued the moment the queue closes, whether they are
-// later drained via TryFetch (takeLocked skips the gauges on a closed
+// later drained via TryFetch (takeNLocked skips the gauges on a closed
 // queue) or abandoned with the queue. Without this, session churn leaks the
 // residue into mobigate_queue_queued_{messages,bytes} forever.
 func (q *Queue) Close() {

@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-// TestTimerPoolNoStaleExpiry is the regression gate for the releaseTimer
+// TestTimerPoolNoStaleExpiry is the regression gate for the ReleaseTimer
 // audit (see the comment there): under the pre-1.23 timer runtime the
 // Stop-then-nonblocking-drain pattern could pool a timer whose expiry send
 // was still in flight, so the next borrower saw an instant spurious tick —
@@ -21,17 +21,17 @@ func TestTimerPoolNoStaleExpiry(t *testing.T) {
 	// deadline. Gosched widens the window in which the expiry send races
 	// the release.
 	for i := 0; i < 2000; i++ {
-		short := acquireTimer(time.Microsecond)
+		short := AcquireTimer(time.Microsecond)
 		runtime.Gosched()
-		releaseTimer(short)
-		long := acquireTimer(time.Hour)
+		ReleaseTimer(short)
+		long := AcquireTimer(time.Hour)
 		runtime.Gosched()
 		select {
 		case <-long.C:
 			t.Fatalf("iteration %d: reused timer delivered a stale expiry", i)
 		default:
 		}
-		releaseTimer(long)
+		ReleaseTimer(long)
 	}
 
 	// End-to-end: the same window through FetchTimeout on an empty queue.

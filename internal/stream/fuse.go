@@ -7,11 +7,11 @@ package stream
 // asynchronous 1:1 link between two serial STATELESS native streamlets that
 // have not opted out with `fuse = off` — and collapses each run into one
 // fused hop under the Figure 7-4 protocol: suspend the segment head, wait
-// for every member and intermediate channel to drain, swap the head's pump,
-// reactivate. Dissolving is the mirror image, and every reconfiguration
-// primitive brackets itself with it: de-fuse the segments the operation
-// touches, apply the change through the unchanged drain protocol, then
-// re-run the pass. The adaptation autopilot and the self-healing supervisor
+// for every member and intermediate channel to drain, swap the head's run
+// loop onto the segment's stage list, reactivate. Dissolving is the mirror
+// image, and every reconfiguration primitive brackets itself with it:
+// de-fuse the segments the operation touches, apply the change through the
+// unchanged drain protocol, then re-run the pass. The adaptation autopilot and the self-healing supervisor
 // therefore work on fused streams unmodified — they call the same public
 // primitives, which now de-fuse and re-fuse around them.
 //
@@ -320,7 +320,7 @@ func (st *Stream) candidatesLocked() []fuseCandidate {
 			cand.interior = append(cand.interior, e.q)
 			cur = e.to
 		}
-		// The head's pump owns exactly one input port; a multi-input (or
+		// The head's run loop owns exactly one input port; a multi-input (or
 		// source) head keeps its own hop and the run starts one edge later.
 		for len(cand.members) >= 2 {
 			hins := cand.members[0].Ins()
@@ -344,8 +344,9 @@ func (st *Stream) candidatesLocked() []fuseCandidate {
 
 // fuseSegment collapses one candidate run under the Figure 7-4 protocol:
 // suspend the head, drain every member and intermediate channel, swap the
-// head's pump for the fused pump, reactivate. A drain timeout skips the
-// segment (fusion is opportunistic); the stream keeps running unfused.
+// head's run loop onto the segment's stage list, reactivate. A drain
+// timeout skips the segment (fusion is opportunistic); the stream keeps
+// running unfused.
 // Caller holds st.fuseMu.
 func (st *Stream) fuseSegment(c fuseCandidate) bool {
 	head := c.members[0]
@@ -457,8 +458,8 @@ func (st *Stream) defuseAll(reason string) error {
 
 // defuseSeg dissolves one fused segment: suspend the head, wait for it to
 // quiesce (its inflight covers the fused batch end to end, so head
-// quiescence is segment quiescence), restore the normal pump, reactivate.
-// The segment stays registered until the drain succeeds — on timeout the
+// quiescence is segment quiescence), restore the head's own stage list,
+// reactivate. The segment stays registered until the drain succeeds — on timeout the
 // fused hop keeps running and the caller's reconfiguration aborts.
 func (st *Stream) defuseSeg(fs *fusedSeg, reason string) error {
 	head := fs.seg.Head()
@@ -488,9 +489,9 @@ func (st *Stream) defuseSeg(fs *fusedSeg, reason string) error {
 }
 
 // dropFusedOnEnd releases the fusion bookkeeping when the stream ends: no
-// drain, no pump surgery — End closes every pump (fused ones included) and
-// every channel itself; only the gauge, the counter and the registry need
-// settling.
+// drain, no loop surgery — End closes every run loop (fused ones included)
+// and every channel itself; only the gauge, the counter and the registry
+// need settling.
 func (st *Stream) dropFusedOnEnd() {
 	st.mu.Lock()
 	segs := st.fused

@@ -734,6 +734,8 @@ func (st *Stream) remove(t string, drainTimeout time.Duration) error {
 		return fmt.Errorf("stream %s: remove %s: %w (after %v)", st.name, t, ErrDrainTimeout, drainTimeout)
 	}
 
+	var retired node
+	defer endAfterUnlock(&retired)
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	t1 := time.Now()
@@ -764,7 +766,7 @@ func (st *Stream) remove(t string, drainTimeout time.Duration) error {
 	}
 	timing.Channels = time.Since(t1)
 
-	nt.end()
+	retired = nt
 	delete(st.nodes, t)
 	delete(st.decls, t)
 
@@ -775,6 +777,16 @@ func (st *Stream) remove(t string, drainTimeout time.Duration) error {
 	timing.Activate = time.Since(t2)
 	st.recordReconfigLocked(timing)
 	return nil
+}
+
+// endAfterUnlock ends the node a reconfiguration unlinked, once st.mu is
+// released (deferred before the unlock, so it runs after it): End waits for
+// the node's run loops, and a loop inside a fault hook may be waiting for
+// st.mu (handleFault → postFault).
+func endAfterUnlock(n *node) {
+	if *n != nil {
+		(*n).end()
+	}
 }
 
 // recordReconfigLocked finalizes one reconfiguration's accounting (timing
@@ -824,6 +836,8 @@ func (st *Stream) removeConnLocked(from, to mcl.PortRef) {
 // and have ports of the same names. Producers feeding old are suspended
 // during the swap. Body of the Replace wrapper in fuse.go.
 func (st *Stream) replace(old, alt string) error {
+	var retired node
+	defer endAfterUnlock(&retired)
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	no, err := st.node(old)
@@ -852,16 +866,22 @@ func (st *Stream) replace(old, alt string) error {
 
 	t1 := time.Now()
 	// Transfer every binding — including inlets/outlets not recorded in the
-	// routing table — then fix up the routing table rows.
-	for port, q := range no.ins() {
+	// routing table — then fix up the routing table rows. The old node stops
+	// fetching first, and the replacement gets its outputs before its
+	// inputs: a started replacement fetches the moment an input is bound,
+	// and an emission with no bound output is lost.
+	ins := no.ins()
+	for port := range ins {
 		no.detachIn(port)
-		if err := na.bindIn(port, q); err != nil {
-			return err
-		}
 	}
 	for port, q := range no.outs() {
 		no.detachOut(port)
 		if err := na.bindOut(port, q); err != nil {
+			return err
+		}
+	}
+	for port, q := range ins {
+		if err := na.bindIn(port, q); err != nil {
 			return err
 		}
 	}
@@ -875,7 +895,7 @@ func (st *Stream) replace(old, alt string) error {
 	}
 	timing.Channels = time.Since(t1)
 
-	no.end()
+	retired = no
 	delete(st.nodes, old)
 	delete(st.decls, old)
 
@@ -988,12 +1008,29 @@ func (st *Stream) CanTerminate() bool {
 		nodes = append(nodes, n)
 	}
 	st.mu.Unlock()
+	before := handoffs(nodes)
 	for _, n := range nodes {
 		if !n.canTerminate() {
 			return false
 		}
 	}
-	return true
+	return handoffs(nodes) == before
+}
+
+// handoffs sums the post and fetch counters of every member's input
+// channels. The members are checked one after another, so a message that
+// moves from an unchecked member to an already-checked one slips past every
+// check; such a move posts to a member's input, so CanTerminate holds only
+// when this sum did not change across the checks.
+func handoffs(nodes []node) uint64 {
+	var sum uint64
+	for _, n := range nodes {
+		for _, q := range n.ins() {
+			posted, fetched, _ := q.Stats()
+			sum += posted + fetched
+		}
+	}
+	return sum
 }
 
 // Processed sums processed-message counts across members.

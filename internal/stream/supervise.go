@@ -132,9 +132,10 @@ func (st *Stream) Supervise(inst string, cfg SupervisionConfig) error {
 	return nil
 }
 
-// handleFault runs on the faulting worker goroutine: it raises the event
-// and, at the threshold, spawns the heal (never synchronously — the worker
-// must keep draining so the heal's own quiesce wait can succeed).
+// handleFault runs on the faulting streamlet's executing goroutine: it
+// raises the event and, at the threshold, spawns the heal (never
+// synchronously — the executor must keep draining so the heal's own
+// quiesce wait can succeed).
 func (st *Stream) handleFault(inst string, cfg SupervisionConfig, rec streamlet.FaultRecord) {
 	obs.FlightRecord(obs.FlightFault, inst, rec.Kind.String()+" "+rec.MsgID, 0)
 	st.postFault(faultEventID(rec.Kind))
@@ -207,10 +208,13 @@ func (st *Stream) healReplace(inst string, cfg SupervisionConfig) error {
 		st.mu.Unlock()
 		return err
 	}
-	// Suspend every producer feeding the instance, then let its in-flight
-	// messages finish before the swap: Replace transfers the queues intact,
-	// so only the pump→worker handoff could lose a message — draining it
-	// first keeps the §6.6 no-loss property.
+	// Suspend the instance and every producer feeding it, then let its
+	// in-flight messages finish before the swap: Replace transfers the
+	// queues intact, so only a message the instance holds could be lost —
+	// one it is still processing when its output is handed over. Pausing
+	// the instance itself matters: an active one would keep fetching queued
+	// input right up to the swap. Draining first keeps the §6.6 no-loss
+	// property.
 	var producers []node
 	for _, c := range st.conns {
 		if c.to.Inst == inst {
@@ -229,28 +233,29 @@ func (st *Stream) healReplace(inst string, cfg SupervisionConfig) error {
 	spareID := fmt.Sprintf("%s~%d", inst, st.spareSeq)
 	st.mu.Unlock()
 
-	for _, p := range producers {
-		p.pause()
-	}
-	if !waitUntil(time.Now().Add(cfg.HealDrainTimeout), nt.quiesced) {
+	resume := func() {
+		nt.activate()
 		for _, p := range producers {
 			p.activate()
 		}
+	}
+	for _, p := range producers {
+		p.pause()
+	}
+	nt.pause()
+	if !waitUntil(time.Now().Add(cfg.HealDrainTimeout), nt.quiesced) {
+		resume()
 		mDrainTimeouts.Inc()
 		obs.FlightRecord(obs.FlightDrain, st.name, "heal-replace "+inst+" timeout", int64(cfg.HealDrainTimeout))
 		return fmt.Errorf("drain %s: %w", inst, ErrDrainTimeout)
 	}
 
 	if _, err := st.AddStreamlet(spareID, decl, cfg.Spare()); err != nil {
-		for _, p := range producers {
-			p.activate()
-		}
+		resume()
 		return err
 	}
 	if err := st.replace(inst, spareID); err != nil {
-		for _, p := range producers {
-			p.activate()
-		}
+		resume()
 		return err
 	}
 	// Replace reactivated the producers; arm the spare with the same policy.

@@ -148,6 +148,77 @@ func TestHealReplaceUnderLoad(t *testing.T) {
 	}
 }
 
+// TestReplaceEndsNodeOutsideStreamLock is the regression test for the heal
+// deadlock: Replace ends the old instance, End waits for that instance's
+// run loop, and the loop is inside the fault hook (handleFault → postFault),
+// which takes the stream lock. The hook is released only once End is
+// underway, so ending the node while still holding the stream lock hangs.
+func TestReplaceEndsNodeOutsideStreamLock(t *testing.T) {
+	pool := msgpool.New(msgpool.ByReference)
+	st := New("replace-hook", pool, nil)
+	st.ErrorHandler = func(error) {}
+
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	var once sync.Once
+	failing := streamlet.ProcessorFunc(func(in streamlet.Input) ([]streamlet.Emission, error) {
+		once.Do(func() { close(entered) })
+		<-release
+		return nil, errors.New("fails after the release")
+	})
+	for _, id := range []string{"head", "tail", "alt"} {
+		if _, err := st.AddStreamlet(id, nil, forward); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := st.AddStreamlet("old", nil, failing); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Connect(ref("head", "po"), ref("old", "pi"), nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Connect(ref("old", "po"), ref("tail", "pi"), nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Supervise("old", SupervisionConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	in, err := st.OpenInlet(ref("head", "pi"), 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Start()
+	old := st.Streamlet("old")
+	if err := in.Send(mime.NewMessage(services.TypePlainText, []byte("x"))); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Process never started")
+	}
+
+	replaced := make(chan error, 1)
+	go func() { replaced <- st.Replace("old", "alt") }()
+	for deadline := time.Now().Add(5 * time.Second); old.State() != streamlet.StateEnded; {
+		if time.Now().After(deadline) {
+			t.Fatal("Replace never ended the old instance")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	close(release) // the fault hook now runs while End waits for the loop
+	select {
+	case err := <-replaced:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		// No deferred End: it would block on the stream lock too.
+		t.Fatal("Replace deadlocked: the fault hook waits for the stream lock End is held under")
+	}
+	st.End()
+}
+
 // TestPanicConservationUnderLoad is the §6.6 no-loss property with faults:
 // a processor that panics every 25th call under PolicyRetry must still
 // deliver every message exactly once (the retried call runs clean).

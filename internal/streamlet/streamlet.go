@@ -11,7 +11,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"mobigate/internal/mcl"
 	"mobigate/internal/mime"
@@ -162,7 +161,7 @@ type Streamlet struct {
 	// typeCheck, when non-nil, enforces the §4.1 runtime check: every
 	// message entering a declared input port must carry a Content-Type
 	// equal to or specializing the port's declared type.
-	typeCheck *mime.Registry
+	typeCheck atomic.Pointer[mime.Registry]
 	typeErrs  atomic.Uint64
 
 	mu    sync.Mutex
@@ -170,53 +169,36 @@ type Streamlet struct {
 	state State
 	ins   map[string]*queue.Queue
 	outs  map[string]*queue.Queue
-	pumps map[string]chan struct{} // per-input stop channels
+	loops map[string]chan struct{} // per-input run-loop stop channels
 	// fetchGate is the pause generation signal: open while active, closed
-	// by Pause, replaced by Activate. Pumps arm their blocking fetch with
-	// it so a pause retracts in-progress fetches instead of letting them
-	// pull messages a reconfiguration drain expects to stay queued.
+	// by Pause, replaced by Activate. Run loops arm their blocking fetch
+	// with it so a pause retracts in-progress fetches instead of letting
+	// them pull messages a reconfiguration drain expects to stay queued.
 	fetchGate chan struct{}
+	// execMu serializes the run loops of a serial streamlet with several
+	// input ports, so Process never runs concurrently.
+	execMu sync.Mutex
 
-	work chan workItem // unbuffered handoff from pumps to the worker
-	// workB is the batched handoff (nil unless batch > 1 with the serial
-	// worker): pumps drain up to batch items in one FetchN and hand the
-	// whole slice over in one channel operation (see batch.go).
-	workB chan *workBatch
-	done  chan struct{}
-	wg    sync.WaitGroup
+	done chan struct{}
+	wg   sync.WaitGroup
 
 	// sup is the installed fault supervision (nil selects the default:
 	// panic containment only). Swapped atomically so Supervise/OnFault are
-	// safe against a running worker.
+	// safe against a running loop.
 	sup atomic.Pointer[supervision]
 
-	// workers is the execution-plane fan-out width, fixed before Start
-	// (from the declaration's workers attribute or SetWorkers). 1 selects
-	// the classic serial worker; N > 1 runs N workers feeding the
-	// resequencer, which restores fetch order before anything is emitted
-	// downstream (see parallel.go).
+	// workers is the execution-plane fan-out width and batch the fetch
+	// batch size, both fixed before Start (from the declaration or
+	// SetWorkers/SetBatch). See exec.go.
 	workers int
-	// batch is the handoff batch size, fixed before Start (from the
-	// declaration's batch attribute or SetBatch). 1 selects today's
-	// one-message-per-handoff pump; N > 1 drains up to N items per queue
-	// lock and — in serial mode — flushes the batch's emissions downstream
-	// in one batched post (see batch.go). FIFO order is preserved in both
-	// directions, so unlike workers this composes with STATEFUL streamlets.
-	batch int
-	// seq stamps fetch order onto work items in parallel mode; the
-	// resequencer releases completions in seq order.
-	seq atomic.Uint64
-	// comps carries finished parallel executions to the resequencer
-	// (nil in serial mode).
-	comps chan *completion
-	// tokens is the parallel-mode admission gate: pumps acquire one per
-	// fetched item, the resequencer releases it after the item is fully
-	// handled. Capacity workers, so at most workers items are in flight and
-	// the resequencer parks at most workers-1 completions even when the
-	// head message stalls.
-	tokens chan struct{}
-	// reseqPeak is the high-water mark of completions parked in the
-	// resequencer waiting for an earlier sequence number.
+	batch   int
+	// Parallel mode (workers > 1): seq stamps fetch order, work hands items
+	// to the slots, tokens (capacity workers) is the admission gate, and
+	// reseq restores fetch order before anything is emitted.
+	seq       atomic.Uint64
+	work      chan workItem
+	tokens    chan struct{}
+	reseq     *reseq
 	reseqPeak atomic.Int64
 
 	faultPanics   atomic.Uint64
@@ -225,10 +207,8 @@ type Streamlet struct {
 	faultDropped  atomic.Uint64
 	faultBypassed atomic.Uint64
 
-	processing atomic.Bool
 	// inflight counts messages fetched from an input queue but not yet
-	// fully handled — including those parked in the pump→worker handoff,
-	// which input-queue emptiness alone cannot see.
+	// fully handled (processed and posted downstream, or abandoned).
 	inflight  atomic.Int64
 	processed atomic.Uint64
 	dropped   atomic.Uint64
@@ -250,29 +230,6 @@ const (
 	procSampleInterval = 16
 )
 
-type workItem struct {
-	port  string
-	msgID string
-	// src is the queue the item came from; acked when handling completes.
-	src *queue.Queue
-	// wait is how long the message sat in src before the pump fetched it;
-	// it becomes the queue-wait field of the message's trace hop.
-	wait time.Duration
-	// enqueuedNs is the item's enqueue stamp on the obs clock (0 when
-	// unstamped); it anchors the queue-wait span, which then also covers
-	// the pump→worker handoff.
-	enqueuedNs int64
-	// seq is the fetch-order stamp in parallel mode (unused when serial).
-	seq uint64
-}
-
-// spanEmit carries the span identity emit needs to parent forward spans
-// (nil when spans are off or the message is outside a trace).
-type spanEmit struct {
-	traceID    uint64
-	procSpanID uint64
-}
-
 // New creates a streamlet instance. id is the instance variable name from
 // the stream configuration, decl its MCL declaration (may be nil for
 // ad-hoc instances), proc its computational content, and pool the shared
@@ -287,8 +244,7 @@ func New(id string, decl *mcl.StreamletDecl, proc Processor, pool *msgpool.Pool)
 		batch:     1,
 		ins:       make(map[string]*queue.Queue),
 		outs:      make(map[string]*queue.Queue),
-		pumps:     make(map[string]chan struct{}),
-		work:      make(chan workItem),
+		loops:     make(map[string]chan struct{}),
 		done:      make(chan struct{}),
 		fetchGate: make(chan struct{}),
 		procHist:  obs.DefaultHistogram(obs.MStreamletProcessSeconds, obs.Labels{"streamlet": id}),
@@ -333,9 +289,7 @@ func (s *Streamlet) EnableTypeCheck(reg *mime.Registry) {
 	if reg == nil {
 		reg = mime.DefaultRegistry()
 	}
-	s.mu.Lock()
-	s.typeCheck = reg
-	s.mu.Unlock()
+	s.typeCheck.Store(reg)
 }
 
 // TypeErrors returns how many messages failed the runtime type check.
@@ -366,7 +320,7 @@ func (s *Streamlet) Quiesced() bool {
 func (s *Streamlet) Dropped() uint64 { return s.dropped.Load() }
 
 // SetIn binds an input port to a queue (setIn of Figure 6-2): the queue's
-// consumer count is incremented and a pump goroutine begins fetching. Any
+// consumer count is incremented and a run loop begins fetching. Any
 // previous binding of the port is detached first.
 func (s *Streamlet) SetIn(port string, q *queue.Queue) {
 	s.mu.Lock()
@@ -375,7 +329,7 @@ func (s *Streamlet) SetIn(port string, q *queue.Queue) {
 	s.ins[port] = q
 	q.IncConsumer()
 	if s.state == StateActive || s.state == StatePaused {
-		s.startPumpLocked(port, q)
+		s.startLoopLocked(port, q, []stage{{m: s, port: port}}, s.batch)
 	}
 }
 
@@ -391,8 +345,8 @@ func (s *Streamlet) SetOut(port string, q *queue.Queue) {
 	q.IncProducer()
 }
 
-// DetachIn unbinds an input port; the pump stops and the queue's consumer
-// count is decremented.
+// DetachIn unbinds an input port; its run loop stops and the queue's
+// consumer count is decremented.
 func (s *Streamlet) DetachIn(port string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -400,13 +354,7 @@ func (s *Streamlet) DetachIn(port string) {
 }
 
 func (s *Streamlet) detachInLocked(port string) {
-	if stop, ok := s.pumps[port]; ok {
-		close(stop)
-		delete(s.pumps, port)
-		// A pump parked in fetchableGate (paused) only re-checks its stop
-		// channel on a cond wake.
-		s.cond.Broadcast()
-	}
+	s.stopLoopLocked(port)
 	if q, ok := s.ins[port]; ok {
 		q.DecConsumer()
 		delete(s.ins, port)
@@ -459,8 +407,8 @@ func (s *Streamlet) Out(port string) *queue.Queue {
 	return s.outs[port]
 }
 
-// Start activates the streamlet: the worker goroutine runs and pumps start
-// on every bound input.
+// Start activates the streamlet: a run loop starts on every bound input
+// (and, with workers > 1, the execution slots).
 func (s *Streamlet) Start() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -468,110 +416,83 @@ func (s *Streamlet) Start() {
 		return
 	}
 	s.state = StateActive
-	if s.batch > 1 && s.workers == 1 {
-		// Serial batch mode: pumps hand whole []workItem slices to the
-		// worker through workB. (Parallel mode batches only the queue drain;
-		// items still fan out one at a time through work — see batch.go.)
-		s.workB = make(chan *workBatch)
-	}
 	if s.workers > 1 {
-		// Parallel mode: N workers race on the handoff channel; the
-		// resequencer restores fetch order before emissions leave.
-		s.comps = make(chan *completion, s.workers*2)
+		s.work = make(chan workItem)
 		s.tokens = make(chan struct{}, s.workers)
-		s.wg.Add(s.workers + 1)
+		s.reseq = newReseq(s)
+		s.wg.Add(s.workers)
 		for i := 0; i < s.workers; i++ {
-			go s.parallelWorker()
+			go s.slot()
 		}
-		go s.resequencer()
-	} else {
-		s.wg.Add(1)
-		go s.worker()
 	}
 	for port, q := range s.ins {
-		s.startPumpLocked(port, q)
+		s.startLoopLocked(port, q, []stage{{m: s, port: port}}, s.batch)
 	}
 }
 
-// startPumpLocked launches the fetch loop for one input port.
-func (s *Streamlet) startPumpLocked(port string, q *queue.Queue) {
-	if _, running := s.pumps[port]; running {
-		return
-	}
+// startLoopLocked (re)starts the run loop of one input port on a stage
+// list; a loop already running on the port is retired first.
+func (s *Streamlet) startLoopLocked(port string, q *queue.Queue, stages []stage, batch int) {
+	s.stopLoopLocked(port)
 	stop := make(chan struct{})
-	s.pumps[port] = stop
-	par := s.workers > 1 // immutable once started
-	if s.batch > 1 {
-		// Batched drain: one FetchN per queue lock instead of one Fetch per
-		// message (batch.go). The single-item pump below stays byte-for-byte
-		// the batch = 1 path.
-		s.wg.Add(1)
-		go s.batchPump(port, q, stop, par)
-		return
-	}
+	s.loops[port] = stop
 	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		for {
-			// Drain-then-park: a paused streamlet stops pulling new input.
-			// Whatever was already fetched drains through the worker; the
-			// rest stays observable in the queues for quiesce checks.
-			gate, live := s.fetchableGate(stop)
-			if !live {
-				return
-			}
-			it, ok := q.FetchGated(stop, gate)
-			if !ok {
-				if stopped(stop) || q.Closed() {
-					return
-				}
-				continue // the pause gate fired: park until reactivated
-			}
-			s.inflight.Add(1)
-			item := workItem{port: port, msgID: it.MsgID, src: q, wait: it.Wait, enqueuedNs: it.EnqueuedNs()}
-			if par {
-				// Fetch order is the order the resequencer must restore.
-				// Assigned here (one pump per port fetches serially) so
-				// per-port FIFO survives the racy handoff to N workers.
-				item.seq = s.seq.Add(1) - 1
-				// Admission gate: without it a stalled head message would
-				// let the other workers run arbitrarily far ahead and the
-				// resequencer's parked set would grow without bound.
-				select {
-				case s.tokens <- struct{}{}:
-				case <-s.done:
-					s.inflight.Add(-1)
-					q.Ack()
-					return
-				}
-			}
-			select {
-			case s.work <- item:
-			case <-stop:
-				// The item was fetched but the pump is being detached;
-				// putting the reference back would reorder, so hand it to
-				// the worker anyway before exiting.
-				select {
-				case s.work <- item:
-				case <-s.done:
-					s.inflight.Add(-1)
-					q.Ack() // abandoned: account it as handled
-					return
-				}
-				return
-			case <-s.done:
-				s.inflight.Add(-1)
-				q.Ack()
-				return
-			}
-		}
-	}()
+	go s.run(q, stop, stages, batch)
 }
+
+func (s *Streamlet) stopLoopLocked(port string) {
+	if stop, ok := s.loops[port]; ok {
+		close(stop)
+		delete(s.loops, port)
+		// A loop parked in fetchableGate (paused) only re-checks its stop
+		// channel on a cond wake.
+		s.cond.Broadcast()
+	}
+}
+
+// SetBatch fixes the fetch batch size before Start. n < 1 is treated as 1.
+// Declarations with a batch attribute do not need this call; New already
+// applies them.
+func (s *Streamlet) SetBatch(n int) error { return s.setBeforeStart("batch", &s.batch, n) }
+
+// Batch returns the configured fetch batch size (1 = single-item).
+func (s *Streamlet) Batch() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.batch
+}
+
+// SetWorkers fixes the execution-plane fan-out width before Start. n < 1
+// is treated as 1 (serial). Declarations with a workers attribute do not
+// need this call; New already applies them.
+func (s *Streamlet) SetWorkers(n int) error { return s.setBeforeStart("workers", &s.workers, n) }
+
+// Workers returns the configured fan-out width (1 = serial).
+func (s *Streamlet) Workers() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.workers
+}
+
+func (s *Streamlet) setBeforeStart(name string, field *int, n int) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.state != StateCreated {
+		return fmt.Errorf("streamlet %s: %s must be set before Start (state %s)", s.id, name, s.state)
+	}
+	*field = max(n, 1)
+	return nil
+}
+
+// ResequencerPeak returns the high-water mark of completions that waited
+// for an earlier sequence number — the observable cost of head-of-line
+// blocking (bounded by workers-1).
+func (s *Streamlet) ResequencerPeak() int64 { return s.reseqPeak.Load() }
 
 // Pause suspends input intake (the pause lifecycle method). Closing the
-// fetch gate retracts every pump's blocking fetch, so new messages keep
-// accumulating on the input queues; messages already fetched still drain
-// through the worker, which is what lets a paused streamlet quiesce.
+// fetch gate retracts every run loop's blocking fetch, so new messages keep
+// accumulating on the input queues; messages already fetched still run to
+// completion, which is what lets a paused streamlet quiesce.
 func (s *Streamlet) Pause() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -595,9 +516,9 @@ func (s *Streamlet) Activate() {
 	}
 }
 
-// fetchableGate parks the calling pump while the streamlet is paused and
-// returns the gate channel to arm the next fetch with. live=false means
-// the pump should exit (its stop fired or the streamlet ended).
+// fetchableGate parks the calling run loop while the streamlet is paused
+// and returns the gate channel to arm the next fetch with. live=false
+// means the loop should exit (its stop fired or the streamlet ended).
 func (s *Streamlet) fetchableGate(stop <-chan struct{}) (gate <-chan struct{}, live bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -624,8 +545,8 @@ func stopped(stop <-chan struct{}) bool {
 
 // CanTerminate evaluates the Figure 6-8 prerequisites for safe removal:
 // every message posted to a bound input queue has been fully handled
-// (posted == acked covers queued, handoff, and in-processing states with
-// no gaps), and nothing fetched from a since-detached queue is pending.
+// (posted == acked covers queued and in-processing states with no gaps),
+// and nothing fetched from a since-detached queue is pending.
 func (s *Streamlet) CanTerminate() bool {
 	s.mu.Lock()
 	ins := make([]*queue.Queue, 0, len(s.ins))
@@ -644,10 +565,10 @@ func (s *Streamlet) CanTerminate() bool {
 	return true
 }
 
-// End terminates the streamlet (the end lifecycle method). All pumps and
-// the worker stop; bound queues are detached. Messages already fetched are
-// abandoned — callers that must avoid message loss check CanTerminate (or
-// use stream-level draining) before calling End.
+// End terminates the streamlet (the end lifecycle method). All run loops
+// and slots stop; bound queues are detached. Messages already fetched are
+// abandoned (acked as handled) — callers that must avoid message loss check
+// CanTerminate (or use stream-level draining) before calling End.
 func (s *Streamlet) End() {
 	s.mu.Lock()
 	if s.state == StateEnded {
@@ -656,9 +577,8 @@ func (s *Streamlet) End() {
 	}
 	prev := s.state
 	s.state = StateEnded
-	for port := range s.pumps {
-		close(s.pumps[port])
-		delete(s.pumps, port)
+	for port := range s.loops {
+		s.stopLoopLocked(port)
 	}
 	for port, q := range s.ins {
 		q.DecConsumer()
@@ -673,357 +593,10 @@ func (s *Streamlet) End() {
 	s.mu.Unlock()
 	if prev != StateCreated {
 		s.wg.Wait()
-	}
-}
-
-// worker is the serial processMsg loop (workers == 1).
-func (s *Streamlet) worker() {
-	defer s.wg.Done()
-	// The worker owns its deadline-executor slot; an in-flight (stalled)
-	// call finishes on its own, discards its result, and exits.
-	slot := &execSlot{}
-	defer slot.close()
-	// Batch-mode emission buffering, owned by this goroutine and reused
-	// across batches (allocation-free steady state). Nil sink on the
-	// single-item path keeps emissions posting immediately, as today.
-	var sink emitSink
-	for {
-		select {
-		case <-s.done:
-			return
-		case it := <-s.work:
-			// Paused streamlets still drain items already fetched — the
-			// pause gate guarantees no new ones arrive — so reconfiguration
-			// drains terminate. Only termination abandons work.
-			if s.State() == StateEnded {
-				s.inflight.Add(-1)
-				it.src.Ack() // abandoned on shutdown
-				return
-			}
-			c := s.produce(it, slot)
-			s.finish(&c, nil)
-			s.inflight.Add(-1)
-			it.src.Ack()
-		case wb := <-s.workB: // nil channel unless serial batch mode
-			if !s.runBatch(wb, slot, &sink) {
-				return
-			}
+		if s.reseq != nil {
+			s.reseq.abandon()
 		}
 	}
-}
-
-// completion is the outcome of the parallel-safe stage of one work item
-// (produce): pool fetch, type check, and the supervised Process call. The
-// serial stage (finish) — counters, trace/span bookkeeping, and downstream
-// emission — runs strictly in fetch order: inline on the serial worker, or
-// on the resequencer in parallel mode.
-type completion struct {
-	it   workItem
-	res  procRes
-	skip bool // pool fetch or type check failed; nothing left to do
-
-	tracing     bool
-	sctx        obs.SpanContext
-	inChain     string
-	session     string
-	bytesIn     int
-	procStartNs int64
-	procDur     time.Duration
-}
-
-// produce runs everything that is safe to run concurrently for one work
-// item, through the supervised Process call, and captures what finish needs.
-func (s *Streamlet) produce(it workItem, slot *execSlot) completion {
-	s.processing.Store(true)
-	defer s.processing.Store(false)
-	c := completion{it: it}
-	msg, err := s.pool.Get(it.msgID)
-	if err != nil {
-		s.fail(fmt.Errorf("streamlet %s: %w", s.id, err))
-		c.skip = true
-		return c
-	}
-	if err := s.checkInputType(it.port, msg); err != nil {
-		s.typeErrs.Add(1)
-		mTypeErrorsTotal.Inc()
-		s.fail(err)
-		s.pool.Remove(it.msgID)
-		c.skip = true
-		return c
-	}
-	c.tracing = obs.TracingEnabled()
-	if obs.SpansEnabled() {
-		// Only messages already inside a trace (stamped at the inlet) grow
-		// spans; everything else pays a single header lookup.
-		c.sctx = obs.ParseSpanContext(msg.Header(mime.HeaderSpanContext))
-	}
-	spans := c.sctx.Valid()
-	if c.tracing || spans {
-		// Read everything the trace needs before Process runs: a terminal
-		// sink may hand the message to another goroutine, after which it
-		// must not be touched.
-		c.inChain = msg.Header(obs.TraceHeader)
-		c.session = msg.Session()
-		c.bytesIn = msg.Len()
-	}
-	// The trace hop needs the exact per-message duration; the histogram is
-	// content with a sample. Without either consumer, skip the clock reads.
-	tick := s.procTick.Add(1)
-	sampleHist := tick <= procSampleWarmup || tick%procSampleInterval == 0
-	var procStart time.Time
-	if c.tracing || sampleHist || spans {
-		procStart = time.Now()
-		if spans {
-			c.procStartNs = obs.MonoNow()
-		}
-	}
-	c.res = s.supervised(Input{Port: it.port, Msg: msg}, slot)
-	if c.tracing || sampleHist || spans {
-		c.procDur = time.Since(procStart)
-	}
-	if sampleHist {
-		s.procHist.Observe(c.procDur.Seconds())
-	}
-	return c
-}
-
-// finish is the serial stage: fault disposition, counters, trace/span
-// bookkeeping, and downstream emission. Callers guarantee finish runs in
-// fetch order (that is the resequencer's whole job). A nil sink posts each
-// emission immediately (the classic path); a non-nil sink defers the posts
-// into the batch's flush (see batch.go), leaving every other side effect —
-// pool forward, peer chain, supersede accounting — exactly in place.
-func (s *Streamlet) finish(c *completion, sink *emitSink) {
-	if c.skip {
-		return
-	}
-	it := c.it
-	res := c.res
-	if res.aborted {
-		// The streamlet ended mid-call: the message is abandoned exactly as
-		// End documents; its pool entry stays for stream-level cleanup.
-		return
-	}
-	if res.err != nil {
-		// Fault accounting (dropped counts, fault counters, OnFault) already
-		// happened inside the supervisor; here the error surfaces and the
-		// pool entry is released.
-		s.fail(fmt.Errorf("streamlet %s: process: %w", s.id, res.err))
-		s.pool.Remove(it.msgID)
-		return
-	}
-	emissions := res.emissions
-	if !res.bypassed {
-		s.processed.Add(1)
-		mProcessedTotal.Inc()
-	}
-
-	if c.tracing {
-		s.trace(it, c.session, emissions, c.inChain, c.bytesIn, c.procDur)
-	}
-	var sp *spanEmit
-	if c.sctx.Valid() {
-		sp = s.span(it, c.sctx, c.session, emissions, c.bytesIn, c.procStartNs, c.procDur)
-	}
-
-	peerID := ""
-	// A bypassed message was not transformed, so the peer chain must not
-	// promise a reversal at the client.
-	if p, ok := Base(s.proc).(Peered); ok && !res.bypassed {
-		peerID = p.PeerID()
-	}
-
-	kept := false
-	superseded := make(map[string]bool, len(emissions))
-	for _, em := range emissions {
-		if em.Msg == nil {
-			continue
-		}
-		if em.Msg.ID == it.msgID {
-			kept = true
-		}
-		if s.emitTo(em, peerID, sp, sink) {
-			superseded[em.Msg.ID] = true
-		}
-	}
-	if !kept {
-		// Terminal hop: the message may have escaped to another goroutine
-		// inside Process (a sink pushing onto a link), so only the pool
-		// entry is dropped — the body is never recycled here.
-		s.pool.Remove(it.msgID)
-	}
-	// A by-value pool forwards deep copies; the originals' pool entries are
-	// superseded once the copies are on the wire. A superseded original is
-	// dead — its deep copy travels onward and processors must not retain
-	// input bodies past Process — so its pooled body is recycled.
-	for id := range superseded {
-		if m := s.pool.Take(id); m != nil {
-			m.Recycle()
-		}
-	}
-}
-
-// trace appends this hop to the message's trace chain and files the chain
-// in the shared trace store under the message's session. This is purely
-// coordination-plane bookkeeping: Processor code never sees or maintains
-// trace state, mirroring how the runtime (not the service entity) manages
-// the Content-Peers chain.
-func (s *Streamlet) trace(it workItem, session string, emissions []Emission, inChain string, bytesIn int, procDur time.Duration) {
-	bytesOut := 0
-	for _, em := range emissions {
-		if em.Msg != nil {
-			bytesOut += em.Msg.Len()
-		}
-	}
-	chain := obs.AppendHop(inChain, obs.Hop{
-		Streamlet: s.id,
-		QueueWait: it.wait,
-		Process:   procDur,
-		BytesIn:   bytesIn,
-		BytesOut:  bytesOut,
-	})
-	store := obs.Traces()
-	emitted := false
-	keptInput := false
-	for _, em := range emissions {
-		if em.Msg == nil {
-			continue
-		}
-		// The chain travels with the message, next to Content-Peers; a
-		// processor that minted a fresh message inherits the input's chain.
-		em.Msg.SetHeader(obs.TraceHeader, chain)
-		if sess := em.Msg.Session(); session == "" {
-			session = sess
-		}
-		store.Record(session, em.Msg.ID, chain)
-		emitted = true
-		if em.Msg.ID == it.msgID {
-			keptInput = true
-		}
-	}
-	switch {
-	case !emitted:
-		// Terminal hop (a sink such as the communicator): the message may
-		// already have escaped to another goroutine inside Process (e.g.
-		// pushed onto a link), so it must not be mutated here — only the
-		// store carries the complete record, final hop included.
-		store.Record(session, it.msgID, chain)
-	case !keptInput:
-		// The transformation changed the message identity; drop the stale
-		// partial chain so per-hop aggregations do not double-count.
-		store.Forget(session, it.msgID)
-	}
-}
-
-// span records this hop's queue-wait and process spans and stamps every
-// emission with the downstream span context (parent = this hop's process
-// span). At a terminal hop — no emissions, the message left the gateway or
-// died here — it instead closes the end-to-end latency against the
-// session's configured budget. Like trace, this is coordination-plane
-// bookkeeping only; Processor code never sees span state.
-func (s *Streamlet) span(it workItem, sctx obs.SpanContext, session string, emissions []Emission, bytesIn int, procStartNs int64, procDur time.Duration) *spanEmit {
-	col := obs.Spans()
-	// The queue span runs from the enqueue stamp to the start of Process,
-	// so it also covers the pump→worker handoff, not just the ring wait.
-	qStart := it.enqueuedNs
-	if qStart == 0 {
-		qStart = procStartNs - int64(it.wait)
-	}
-	qid := col.NextID()
-	col.Record(obs.Span{
-		TraceID: sctx.TraceID, SpanID: qid, ParentID: sctx.ParentID,
-		Kind: obs.SpanQueue, Site: col.Site(), Name: it.src.Name(),
-		StartNs: qStart, DurNs: procStartNs - qStart, Bytes: bytesIn,
-	})
-	pid := col.NextID()
-	col.Record(obs.Span{
-		TraceID: sctx.TraceID, SpanID: pid, ParentID: qid,
-		Kind: obs.SpanProcess, Site: col.Site(), Name: s.id,
-		StartNs: procStartNs, DurNs: int64(procDur), Bytes: bytesIn,
-	})
-	next := ""
-	for _, em := range emissions {
-		if em.Msg == nil {
-			continue
-		}
-		if next == "" {
-			next = obs.EncodeSpanContext(obs.SpanContext{TraceID: sctx.TraceID, ParentID: pid, StartNs: sctx.StartNs})
-		}
-		em.Msg.SetHeader(mime.HeaderSpanContext, next)
-	}
-	if next == "" {
-		// Terminal hop: the whole server chain is behind this message, so
-		// its end-to-end latency is known — feed the SLO tracker (a no-op
-		// unless a budget is configured for the session). The message itself
-		// may already have escaped inside Process and is not touched.
-		obs.SLO().Observe(session, col.Now()-sctx.StartNs)
-		return nil
-	}
-	return &spanEmit{traceID: sctx.TraceID, procSpanID: pid}
-}
-
-// emitTo forwards one emission; it reports whether the pool handed a deep
-// copy downstream (by-value mode), in which case the original's pool entry
-// is superseded. A non-nil sp wraps the pool forward and queue post in a
-// forward span parented under this hop's process span. A non-nil sink
-// defers the queue post (only the post — the pool forward and peer chain
-// happen here either way) into the batch flush; the supersede verdict is
-// known at Forward time, so it is identical on both paths.
-func (s *Streamlet) emitTo(em Emission, peerID string, sp *spanEmit, sink *emitSink) (copied bool) {
-	q := s.resolveOut(em.Port)
-	if q == nil {
-		// Open circuit at runtime: the §5.2.2 condition the semantic model
-		// exists to prevent. Surface it rather than losing silently.
-		s.fail(fmt.Errorf("streamlet %s: no queue bound to output port %q; message %s lost",
-			s.id, em.Port, em.Msg.ID))
-		s.pool.Remove(em.Msg.ID)
-		return false
-	}
-	var fwdStart int64
-	if sp != nil {
-		fwdStart = obs.MonoNow()
-	}
-	if peerID != "" {
-		em.Msg.PushPeer(peerID)
-	}
-	// Body length is read before Post: once the post lands, the message is
-	// owned downstream and must not be touched.
-	size := em.Msg.Len()
-	s.pool.Put(em.Msg)
-	fid, err := s.pool.Forward(em.Msg.ID)
-	if err != nil {
-		s.fail(err)
-		return false
-	}
-	if sink != nil {
-		sink.add(sinkEntry{q: q, fid: fid, origID: em.Msg.ID, size: size, sp: sp})
-		return fid != em.Msg.ID
-	}
-	if err := q.Post(fid, size, s.done); err != nil {
-		s.dropped.Add(1)
-		mDroppedTotal.Inc()
-		if fid != em.Msg.ID {
-			// The dropped deep copy never left the pool; reclaim its body.
-			if c := s.pool.Take(fid); c != nil {
-				c.Recycle()
-			}
-		} else {
-			s.pool.Remove(fid)
-		}
-		if err != queue.ErrDropped {
-			s.fail(fmt.Errorf("streamlet %s: post to %s: %w", s.id, q.Name(), err))
-		}
-		// The post failed; treat the original as superseded anyway when a
-		// copy was attempted, so by-value pools do not accumulate.
-	} else if sp != nil {
-		col := obs.Spans()
-		col.Record(obs.Span{
-			TraceID: sp.traceID, SpanID: col.NextID(), ParentID: sp.procSpanID,
-			Kind: obs.SpanForward, Site: col.Site(), Name: q.Name(),
-			StartNs: fwdStart, DurNs: obs.MonoNow() - fwdStart, Bytes: size,
-		})
-	}
-	return fid != em.Msg.ID
 }
 
 // resolveOut maps an emission port to a queue; "" resolves to the sole
@@ -1045,9 +618,7 @@ func (s *Streamlet) resolveOut(port string) *queue.Queue {
 // checkInputType enforces the runtime port-type check of §4.1 when enabled
 // and a declaration is available for the port.
 func (s *Streamlet) checkInputType(port string, msg *mime.Message) error {
-	s.mu.Lock()
-	reg := s.typeCheck
-	s.mu.Unlock()
+	reg := s.typeCheck.Load()
 	if reg == nil || s.decl == nil {
 		return nil
 	}

@@ -15,10 +15,10 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"sync"
 	"time"
 
 	"mobigate/internal/obs"
+	"mobigate/internal/queue"
 )
 
 // Fault-supervision metrics (gateway-wide; per-streamlet counts are on the
@@ -144,7 +144,7 @@ var ErrProcessorPanic = errors.New("streamlet: processor panicked")
 // ErrProcessStall reports a Process call abandoned past its deadline.
 var ErrProcessStall = errors.New("streamlet: process exceeded deadline")
 
-// supervision bundles the policy with the fault hook so the worker reads
+// supervision bundles the policy with the fault hook so the executor reads
 // both with one atomic load.
 type supervision struct {
 	cfg     Supervision
@@ -163,7 +163,7 @@ func (s *Streamlet) Supervise(cfg Supervision) {
 }
 
 // OnFault installs a hook receiving one FaultRecord per terminally faulted
-// message (after retries, if any). The hook runs on the worker goroutine;
+// message (after retries, if any). The hook runs on the executing goroutine;
 // it must not block for long and must not call back into the streamlet's
 // lifecycle synchronously.
 func (s *Streamlet) OnFault(f func(FaultRecord)) {
@@ -227,9 +227,9 @@ func runProtected(p Processor, in Input) (res procRes) {
 }
 
 // procExec is a reusable executor goroutine that runs Process calls on
-// behalf of a worker when a deadline is configured. Each worker owns one
+// behalf of a run loop or slot when a deadline is configured. Each owns one
 // exclusively through its execSlot: it is created lazily, abandoned
-// (channel closed) when a call stalls, and closed when the worker exits. An
+// (channel closed) when a call stalls, and closed when its owner exits. An
 // abandoned executor finishes its in-flight call — however long that takes
 // — discards the result, and exits; a permanently hung Processor costs one
 // goroutine, not the gateway.
@@ -237,9 +237,9 @@ type procExec struct {
 	in chan procReq
 }
 
-// execSlot is one worker goroutine's private executor handle. Parallel
-// workers each carry their own slot, so a stalled Process call occupies
-// only the worker that issued it; the other N-1 keep executing.
+// execSlot is one executing goroutine's private executor handle. Parallel
+// slots each carry their own, so a stalled Process call occupies only the
+// slot that issued it; the other N-1 keep executing.
 type execSlot struct {
 	exec *procExec
 }
@@ -275,14 +275,14 @@ func (s *Streamlet) invokeTimed(in Input, d time.Duration, sl *execSlot) procRes
 	case <-s.done:
 		return procRes{aborted: true}
 	}
-	timer := acquireTimer(d)
-	defer releaseTimer(timer)
+	timer := queue.AcquireTimer(d)
+	defer queue.ReleaseTimer(timer)
 	select {
 	case r := <-req.res:
 		return r
 	case <-timer.C:
 		// Stalled: abandon this executor (it drains its in-flight call and
-		// exits); the worker's next message gets a fresh one.
+		// exits); the owner's next message gets a fresh one.
 		sl.close()
 		return procRes{
 			err:  fmt.Errorf("%w: %v elapsed", ErrProcessStall, d),
@@ -321,8 +321,8 @@ func (s *Streamlet) countFault(kind FaultKind) {
 // between retries), fault accounting, and the terminal outcome. A returned
 // error means the message must be dropped by the caller; bypassed outcomes
 // come back as a pass-through emission with err == nil. sl is the calling
-// worker's private executor slot; retries and backoff occupy only that
-// worker.
+// goroutine's private executor slot; retries and backoff occupy only that
+// goroutine.
 func (s *Streamlet) supervised(in Input, sl *execSlot) procRes {
 	sv := s.sup.Load()
 	if sv == nil {
@@ -412,8 +412,8 @@ func (s *Streamlet) backoff(cfg Supervision, attempt int) bool {
 	if d > cfg.MaxBackoff {
 		d = cfg.MaxBackoff
 	}
-	timer := acquireTimer(d)
-	defer releaseTimer(timer)
+	timer := queue.AcquireTimer(d)
+	defer queue.ReleaseTimer(timer)
 	select {
 	case <-timer.C:
 		return true
@@ -426,28 +426,4 @@ func (s *Streamlet) notifyFault(sv *supervision, rec FaultRecord) {
 	if sv.onFault != nil {
 		sv.onFault(rec)
 	}
-}
-
-// timerPool mirrors the queue package's pooled timers so deadlines and
-// backoffs allocate no timer in steady state.
-var timerPool sync.Pool
-
-func acquireTimer(d time.Duration) *time.Timer {
-	if t, _ := timerPool.Get().(*time.Timer); t != nil {
-		t.Reset(d)
-		return t
-	}
-	return time.NewTimer(d)
-}
-
-func releaseTimer(t *time.Timer) {
-	if !t.Stop() {
-		// Already fired; drain a pending tick so a pooled Reset cannot
-		// deliver a stale expiry.
-		select {
-		case <-t.C:
-		default:
-		}
-	}
-	timerPool.Put(t)
 }
