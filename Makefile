@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-baseline bench-compare bench-smoke fault-smoke obs-smoke parallel-smoke adapt-smoke batch-smoke sessions-smoke health-smoke fusion-smoke docs-check vet fmt check examples experiments clean
+.PHONY: all build test race bench bench-baseline bench-compare bench-smoke fault-smoke obs-smoke parallel-smoke adapt-smoke batch-smoke sessions-smoke health-smoke fusion-smoke fuzz-smoke docs-check vet fmt check examples experiments clean
 
 all: build test
 
@@ -21,8 +21,9 @@ race:
 # the fault-injection survival scenario, the end-to-end span smoke, the
 # parallel-execution smoke, the adaptation-autopilot smoke, the
 # batched-handoff smoke, the multi-session scale smoke, the health-model
-# smoke, the chain-fusion smoke, and the documentation linter.
-check: build test race bench-smoke fault-smoke obs-smoke parallel-smoke adapt-smoke batch-smoke sessions-smoke health-smoke fusion-smoke docs-check
+# smoke, the chain-fusion smoke, the wire-reader fuzz smoke, and the
+# documentation linter.
+check: build test race bench-smoke fault-smoke obs-smoke parallel-smoke adapt-smoke batch-smoke sessions-smoke health-smoke fusion-smoke fuzz-smoke docs-check
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -109,6 +110,14 @@ health-smoke:
 # entries (exits nonzero if not).
 fusion-smoke:
 	$(GO) run ./cmd/mobibench -exp fusion
+
+# Wire-reader fuzz smoke: ten seconds of FuzzReadMessage on top of its seed
+# corpus (internal/mime/testdata/fuzz). Any input ReadMessage accepts must
+# round-trip through Encode unchanged, and none may allocate past the
+# ingress limits (exits nonzero on a finding, which go test saves under
+# testdata/fuzz as a new regression seed).
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzReadMessage$$' -fuzztime 10s ./internal/mime
 
 # Documentation linter: every docs/*.md page must be linked from README.md,
 # every relative markdown link must resolve, and fenced MCL / CLI examples

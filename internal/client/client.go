@@ -72,32 +72,55 @@ type sequencer struct {
 	mu      sync.Mutex
 	next    uint64
 	pending map[uint64]*mime.Message
+	// draining marks that one goroutine is handing the ready run to the
+	// handler; others only park their message, so the handler sees
+	// sequence order even though it runs outside mu.
+	draining bool
+	ready    []*mime.Message // the drainer's current run
 }
 
 // submit delivers m (stamped with seq) and everything consecutive after it.
 // A nil message marks the sequence slot as skipped (a processing failure)
-// so later messages are not stalled behind the hole.
+// so later messages are not stalled behind the hole. One goroutine at a
+// time drains: it loops until nothing is ready, calling deliver without
+// the lock held.
 func (s *sequencer) submit(seq uint64, m *mime.Message, deliver func(*mime.Message)) {
 	s.mu.Lock()
 	if s.pending == nil {
 		s.pending = make(map[uint64]*mime.Message)
 	}
 	s.pending[seq] = m
-	var ready []*mime.Message
-	for {
-		n, ok := s.pending[s.next]
-		if !ok {
-			break
-		}
-		delete(s.pending, s.next)
-		s.next++
-		if n != nil {
-			ready = append(ready, n)
-		}
+	if s.draining {
+		s.mu.Unlock()
+		return
 	}
-	s.mu.Unlock()
-	for _, n := range ready {
-		deliver(n)
+	s.draining = true
+	for {
+		// Only the drainer touches s.ready, so it reads the run unlocked.
+		s.ready = s.ready[:0]
+		for {
+			n, ok := s.pending[s.next]
+			if !ok {
+				break
+			}
+			delete(s.pending, s.next)
+			s.next++
+			if n != nil {
+				s.ready = append(s.ready, n)
+			}
+		}
+		if len(s.ready) == 0 {
+			s.draining = false
+			s.mu.Unlock()
+			return
+		}
+		ready := s.ready
+		s.mu.Unlock()
+		for i, n := range ready {
+			deliver(n)
+			ready[i] = nil
+		}
+		s.mu.Lock()
 	}
 }
 

@@ -2,7 +2,9 @@ package client
 
 import (
 	"fmt"
+	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -139,4 +141,57 @@ func waitProcessed(t *testing.T, c *Client, n uint64) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatal("processing stalled")
+}
+
+// TestOrderedDeliveryStrictUnderConcurrency: with four distributors racing
+// to finish, the handler must still see X-Seq strictly increasing — only
+// one goroutine may hand the ready run to the handler at a time.
+func TestOrderedDeliveryStrictUnderConcurrency(t *testing.T) {
+	const n = 10000
+	dir := streamlet.NewDirectory()
+	dir.Register("pass/through", func() streamlet.Processor { return passThrough{} })
+	var mu sync.Mutex
+	var got []int
+	inHandler := 0
+	c := New(Options{Peers: dir, Distributors: 4, Ordered: true}, func(m *mime.Message) {
+		mu.Lock()
+		inHandler++
+		overlap := inHandler > 1
+		mu.Unlock()
+		if overlap {
+			t.Error("handler ran on two goroutines at once")
+		}
+		i, _ := strconv.Atoi(strings.TrimPrefix(string(m.Body()), "m-"))
+		mu.Lock()
+		got = append(got, i)
+		inHandler--
+		mu.Unlock()
+	})
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		m := mime.NewMessage(services.TypePlainText, []byte("m-"+strconv.Itoa(i)))
+		m.SetHeader("X-Seq", strconv.Itoa(i))
+		m.PushPeer("pass/through")
+		c.Dispatch(m, &wg)
+	}
+	wg.Wait()
+	mu.Lock()
+	defer mu.Unlock()
+	if len(got) != n {
+		t.Fatalf("delivered %d of %d", len(got), n)
+	}
+	for i := 1; i < n; i++ {
+		if got[i] <= got[i-1] {
+			t.Fatalf("handler saw seq %d after %d (position %d)", got[i], got[i-1], i)
+		}
+	}
+}
+
+// passThrough is a peer that returns its input, yielding the scheduler so
+// distributors finish in varying order.
+type passThrough struct{}
+
+func (passThrough) Process(in streamlet.Input) ([]streamlet.Emission, error) {
+	runtime.Gosched()
+	return []streamlet.Emission{{Msg: in.Msg}}, nil
 }

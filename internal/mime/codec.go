@@ -17,7 +17,15 @@ import (
 // format the Communicator streamlet puts on the wireless link and the
 // client's Message Distributor parses back (§3.4.1).
 
-const maxHeaderBytes = 64 << 10
+// Ingress limits. A reader frames messages from a peer it does not trust,
+// so neither the header block nor the body it allocates may follow the
+// peer's word unbounded: a 100-byte message claiming a 1 TiB body must be
+// refused before any buffer is sized from it.
+const (
+	maxHeaderBytes = 64 << 10
+	maxHeaderLines = 1024
+	maxBodyBytes   = 64 << 20
+)
 
 // appendHeaders appends the canonical wire header block — every declared
 // header, then Message-Id and Content-Length re-emitted canonically, then
@@ -134,7 +142,7 @@ func (m *Message) Encode() []byte {
 // io.ErrUnexpectedEOF when a message is truncated.
 func ReadMessage(r *bufio.Reader) (*Message, error) {
 	m := &Message{fields: make(map[string]string, 8)}
-	headerBytes := 0
+	headerBytes, headerLines := 0, 0
 	first := true
 	for {
 		line, err := r.ReadString('\n')
@@ -156,11 +164,17 @@ func ReadMessage(r *bufio.Reader) (*Message, error) {
 		if line == "" {
 			break // end of headers
 		}
+		if headerLines++; headerLines > maxHeaderLines {
+			return nil, fmt.Errorf("mime: header block exceeds %d lines", maxHeaderLines)
+		}
 		colon := strings.IndexByte(line, ':')
 		if colon <= 0 {
 			return nil, fmt.Errorf("mime: malformed header line %q", line)
 		}
 		key := strings.TrimSpace(line[:colon])
+		if key == "" {
+			return nil, fmt.Errorf("mime: malformed header line %q", line)
+		}
 		val := strings.TrimSpace(line[colon+1:])
 		m.SetHeader(key, val)
 	}
@@ -168,6 +182,9 @@ func ReadMessage(r *bufio.Reader) (*Message, error) {
 	n := parseContentLength(m.Header(HeaderContentLength))
 	if n < 0 {
 		return nil, fmt.Errorf("mime: missing or invalid Content-Length")
+	}
+	if n > maxBodyBytes {
+		return nil, fmt.Errorf("mime: Content-Length %d exceeds %d bytes", n, maxBodyBytes)
 	}
 	m.ID = m.Header(HeaderMessageID)
 	if m.ID == "" {

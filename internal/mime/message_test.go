@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"io"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -204,6 +205,30 @@ func TestReadMessageHeaderCap(t *testing.T) {
 	sb.WriteString("Content-Length: 0\r\n\r\n")
 	if _, err := ReadMessage(bufio.NewReader(strings.NewReader(sb.String()))); err == nil {
 		t.Error("oversized header block accepted")
+	}
+}
+
+// TestReadMessageRefusesHugeContentLength: a short message claiming a
+// 1 TiB body is refused before any body buffer is sized from the claim.
+func TestReadMessageRefusesHugeContentLength(t *testing.T) {
+	in := "Content-Type: text/plain\r\nContent-Length: 1099511627776\r\n\r\nonly a few bytes follow"
+	if _, err := ReadMessage(bufio.NewReader(strings.NewReader(in))); err == nil || err == io.ErrUnexpectedEOF {
+		t.Errorf("1 TiB Content-Length: want a limit error, got %v", err)
+	}
+	past := "Content-Length: " + strconv.Itoa(maxBodyBytes+1) + "\r\n\r\n"
+	if _, err := ReadMessage(bufio.NewReader(strings.NewReader(past))); err == nil || err == io.ErrUnexpectedEOF {
+		t.Errorf("Content-Length past the limit: want a limit error, got %v", err)
+	}
+}
+
+func TestReadMessageHeaderLineCap(t *testing.T) {
+	var sb strings.Builder
+	for i := 0; i <= maxHeaderLines; i++ {
+		sb.WriteString("X-A: b\r\n")
+	}
+	sb.WriteString("Content-Length: 0\r\n\r\n")
+	if _, err := ReadMessage(bufio.NewReader(strings.NewReader(sb.String()))); err == nil {
+		t.Error("header block past the line cap accepted")
 	}
 }
 

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"compress/flate"
 	"fmt"
-	"io"
+	"strconv"
 
 	"mobigate/internal/mime"
 	"mobigate/internal/streamlet"
@@ -27,12 +27,12 @@ func (d *DownSampler) Process(in streamlet.Input) ([]streamlet.Emission, error) 
 	if err != nil {
 		return nil, fmt.Errorf("downsample: %w", err)
 	}
-	for i := 0; i < passes; i++ {
+	for i := 1; i < passes; i++ {
 		r = r.Downsample()
 	}
-	in.Msg.SetBody(r.Encode())
+	in.Msg.SetBody(r.encodeDownsampled())
 	in.Msg.SetContentType(TypeRaster)
-	in.Msg.SetHeader("X-Downsampled", fmt.Sprintf("%d", passes))
+	in.Msg.SetHeader("X-Downsampled", strconv.Itoa(passes))
 	return []streamlet.Emission{{Msg: in.Msg}}, nil
 }
 
@@ -70,26 +70,38 @@ func (t *Transcoder) Process(in streamlet.Input) ([]streamlet.Emission, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transcode: %w", err)
 	}
-	shift := uint(8 - q)
-	quantized := make([]byte, len(r.Pix))
-	for i, p := range r.Pix {
-		quantized[i] = (p >> shift) << shift
-	}
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "%s %d %d %d\n", "RJPG", r.Width, r.Height, q)
-	fw, err := flate.NewWriter(&buf, flate.BestSpeed)
+	d, err := getDeflater(flate.BestSpeed)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := fw.Write(quantized); err != nil {
+	d.out.b = appendTranscodedHeader(d.out.b, r.Width, r.Height, q)
+	shift := uint(8 - q)
+	quantized := d.input(len(r.Pix))
+	for i, p := range r.Pix {
+		quantized[i] = (p >> shift) << shift
+	}
+	if _, err := d.fw.Write(quantized); err != nil {
 		return nil, err
 	}
-	if err := fw.Close(); err != nil {
+	body, err := d.finish()
+	if err != nil {
 		return nil, err
 	}
-	in.Msg.SetBody(buf.Bytes())
+	in.Msg.SetBody(body)
 	in.Msg.SetContentType(TypeRasterJPEG)
 	return []streamlet.Emission{{Msg: in.Msg}}, nil
+}
+
+// appendTranscodedHeader appends the "RJPG w h q\n" line that precedes a
+// Transcoder body's deflate stream.
+func appendTranscodedHeader(b []byte, w, h, q int) []byte {
+	b = append(b, "RJPG "...)
+	b = strconv.AppendInt(b, int64(w), 10)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, int64(h), 10)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, int64(q), 10)
+	return append(b, '\n')
 }
 
 // DecodeTranscoded reverses Transcoder for verification: it returns the
@@ -101,14 +113,15 @@ func DecodeTranscoded(data []byte) (*Raster, error) {
 	if _, err := fmt.Fscanf(buf, "%s %d %d %d\n", &magic, &w, &h, &q); err != nil || magic != "RJPG" {
 		return nil, fmt.Errorf("services: not a transcoded raster")
 	}
-	fr := flate.NewReader(buf)
-	defer fr.Close()
-	pix, err := io.ReadAll(fr)
+	need := 3 * w * h
+	// One byte past need is enough to tell an overlong stream from an
+	// exact one without inflating the rest of it.
+	pix, err := inflateBody(buf.Bytes(), int64(need)+1)
 	if err != nil {
 		return nil, err
 	}
-	if len(pix) != 3*w*h {
-		return nil, fmt.Errorf("services: transcoded pixel count %d != %d", len(pix), 3*w*h)
+	if len(pix) != need {
+		return nil, fmt.Errorf("services: transcoded pixel count %d != %d", len(pix), need)
 	}
 	return &Raster{Width: w, Height: h, Pix: pix}, nil
 }

@@ -58,11 +58,18 @@ func (r *Raster) Set(x, y int, red, green, blue byte) {
 // Encode serializes the raster: "RAST" magic, uint32 width and height,
 // then the pixel data.
 func (r *Raster) Encode() []byte {
-	out := make([]byte, 4+8+len(r.Pix))
-	copy(out, rasterMagic)
-	binary.BigEndian.PutUint32(out[4:], uint32(r.Width))
-	binary.BigEndian.PutUint32(out[8:], uint32(r.Height))
+	out := newEncodedRaster(r.Width, r.Height)
 	copy(out[12:], r.Pix)
+	return out
+}
+
+// newEncodedRaster allocates an encoded w x h raster with its header
+// written and the pixel bytes zeroed.
+func newEncodedRaster(w, h int) []byte {
+	out := make([]byte, 4+8+3*w*h)
+	copy(out, rasterMagic)
+	binary.BigEndian.PutUint32(out[4:], uint32(w))
+	binary.BigEndian.PutUint32(out[8:], uint32(h))
 	return out
 }
 
@@ -90,23 +97,39 @@ func (r *Raster) Downsample() *Raster {
 	if r.Width < 2 || r.Height < 2 {
 		return r
 	}
+	out := NewRaster(r.Width/2, r.Height/2)
+	r.downsampleInto(out.Pix)
+	return out
+}
+
+// encodeDownsampled is Downsample().Encode() without the intermediate
+// raster: the halved pixels are written straight into the encoded buffer.
+func (r *Raster) encodeDownsampled() []byte {
+	if r.Width < 2 || r.Height < 2 {
+		return r.Encode()
+	}
+	out := newEncodedRaster(r.Width/2, r.Height/2)
+	r.downsampleInto(out[12:])
+	return out
+}
+
+// downsampleInto writes the 2x2-block averages of r into dst, which holds
+// 3*(Width/2)*(Height/2) bytes.
+func (r *Raster) downsampleInto(dst []byte) {
 	w, h := r.Width/2, r.Height/2
-	out := NewRaster(w, h)
+	stride := 3 * r.Width
 	for y := 0; y < h; y++ {
+		top := r.Pix[2*y*stride : (2*y+1)*stride]
+		bot := r.Pix[(2*y+1)*stride : (2*y+2)*stride]
+		row := dst[3*y*w : 3*(y+1)*w]
 		for x := 0; x < w; x++ {
-			var sr, sg, sb int
-			for dy := 0; dy < 2; dy++ {
-				for dx := 0; dx < 2; dx++ {
-					cr, cg, cb := r.At(2*x+dx, 2*y+dy)
-					sr += int(cr)
-					sg += int(cg)
-					sb += int(cb)
-				}
+			i := 6 * x
+			for c := 0; c < 3; c++ {
+				sum := int(top[i+c]) + int(top[i+3+c]) + int(bot[i+c]) + int(bot[i+3+c])
+				row[3*x+c] = byte(sum / 4)
 			}
-			out.Set(x, y, byte(sr/4), byte(sg/4), byte(sb/4))
 		}
 	}
-	return out
 }
 
 // Gray16 converts to 16 grayscale levels (the Map-to-16-grays streamlet):

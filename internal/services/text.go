@@ -1,10 +1,9 @@
 package services
 
 import (
-	"bytes"
 	"compress/flate"
 	"fmt"
-	"io"
+	"strconv"
 	"strings"
 
 	"mobigate/internal/mime"
@@ -87,19 +86,12 @@ func (c *Compressor) Process(in streamlet.Input) ([]streamlet.Emission, error) {
 	if level == 0 {
 		level = flate.BestSpeed
 	}
-	var buf bytes.Buffer
-	fw, err := flate.NewWriter(&buf, level)
+	body, err := deflateBody(level, in.Msg.Body())
 	if err != nil {
 		return nil, err
 	}
-	if _, err := fw.Write(in.Msg.Body()); err != nil {
-		return nil, err
-	}
-	if err := fw.Close(); err != nil {
-		return nil, err
-	}
-	in.Msg.SetHeader("X-Original-Length", fmt.Sprintf("%d", in.Msg.Len()))
-	in.Msg.SetBody(buf.Bytes())
+	in.Msg.SetHeader("X-Original-Length", strconv.Itoa(in.Msg.Len()))
+	in.Msg.SetBody(body)
 	in.Msg.SetHeader("Content-Encoding", "deflate")
 	return []streamlet.Emission{{Msg: in.Msg}}, nil
 }
@@ -112,9 +104,7 @@ func (Decompressor) Process(in streamlet.Input) ([]streamlet.Emission, error) {
 	if in.Msg.Header("Content-Encoding") != "deflate" {
 		return []streamlet.Emission{{Msg: in.Msg}}, nil
 	}
-	fr := flate.NewReader(bytes.NewReader(in.Msg.Body()))
-	defer fr.Close()
-	plain, err := io.ReadAll(fr)
+	plain, err := inflateBody(in.Msg.Body(), -1)
 	if err != nil {
 		return nil, fmt.Errorf("decompress: %w", err)
 	}

@@ -29,7 +29,8 @@ func connectSampled(t *testing.T, tbl *Table, prefix string) *Session {
 // the /sessions snapshot with per-session quantiles and edge-triggered
 // violations.
 func TestSampledSessionSLO(t *testing.T) {
-	tbl, ps := newTable(t, Config{SLOBudget: time.Millisecond}, 1)
+	stats := obs.NewSessionStatsCollector(0, 0)
+	tbl, ps := newTable(t, Config{SLOBudget: time.Millisecond, stats: stats}, 1)
 	s := connectSampled(t, tbl, "slo-")
 	q := ps[0].Queue()
 
@@ -55,7 +56,7 @@ func TestSampledSessionSLO(t *testing.T) {
 		t.Fatalf("session SLO violations: %d, want 1 (edge-triggered)", got)
 	}
 
-	snap := obs.SessionStats().Snapshot(0)
+	snap := stats.Snapshot(0)
 	var sample *obs.SessionSLOSample
 	for i := range snap.Samples {
 		if snap.Samples[i].ID == s.ID() {
@@ -125,9 +126,11 @@ func TestSampledPostReleaseZeroAlloc(t *testing.T) {
 }
 
 // TestUnsampledSessionsStillTracked: every session (sampled or not) feeds
-// the heavy-hitter sketch.
+// the heavy-hitter sketch. The table gets its own collector, so bytes left
+// in the shared sketch by an earlier run cannot skew the exact counts.
 func TestUnsampledSessionsStillTracked(t *testing.T) {
-	tbl, ps := newTable(t, Config{}, 1)
+	stats := obs.NewSessionStatsCollector(0, 0)
+	tbl, ps := newTable(t, Config{stats: stats}, 1)
 	var s *Session
 	for i := 0; ; i++ {
 		c, err := tbl.Connect("hh-" + strconv.Itoa(i))
@@ -149,7 +152,7 @@ func TestUnsampledSessionsStillTracked(t *testing.T) {
 		q.Ack()
 		s.Release(1<<10, 0)
 	}
-	snap := obs.SessionStats().Snapshot(0)
+	snap := stats.Snapshot(0)
 	for _, h := range snap.TopBytes {
 		if h.ID == s.ID() && h.Bytes == 10<<10 && h.Msgs == 10 {
 			return

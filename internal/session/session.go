@@ -184,7 +184,7 @@ func (s *Session) Admit(size int) error {
 		s.shed.Add(1)
 		t.loadShed.Add(1)
 		mSessLoadShed.Inc()
-		obs.SessionStats().ObserveShed(s.hash, s.id)
+		t.cfg.stats.ObserveShed(s.hash, s.id)
 		return ErrShed
 	}
 	if s.queuedMsgs.Add(1) > t.cfg.QuotaMessages {
@@ -192,7 +192,7 @@ func (s *Session) Admit(size int) error {
 		s.shed.Add(1)
 		t.quotaShed.Add(1)
 		mSessQuotaShed.Inc()
-		obs.SessionStats().ObserveShed(s.hash, s.id)
+		t.cfg.stats.ObserveShed(s.hash, s.id)
 		return ErrQuota
 	}
 	if s.queuedBytes.Add(int64(size)) > t.cfg.QuotaBytes {
@@ -201,7 +201,7 @@ func (s *Session) Admit(size int) error {
 		s.shed.Add(1)
 		t.quotaShed.Add(1)
 		mSessQuotaShed.Inc()
-		obs.SessionStats().ObserveShed(s.hash, s.id)
+		t.cfg.stats.ObserveShed(s.hash, s.id)
 		return ErrQuota
 	}
 	mSessQueued.Add(int64(size))
@@ -236,14 +236,14 @@ func (s *Session) release(size int, delivered bool, latencyNs int64) {
 	if delivered {
 		s.delivered.Add(1)
 		s.table.delivered.Add(1)
-		obs.SessionStats().ObserveRelease(s.hash, s.id, int64(size))
+		s.table.cfg.stats.ObserveRelease(s.hash, s.id, int64(size))
 		if latencyNs > 0 {
 			if s.table.cfg.SLOBudget > 0 {
 				obs.SLO().Observe(s.plane.name, latencyNs)
 			}
 			if s.slot != nil && s.slot.Observe(latencyNs, int64(s.table.cfg.SLOBudget)) {
 				mSessSLOViol.Inc()
-				obs.SessionStats().ObserveViolation(s.hash, s.id)
+				s.table.cfg.stats.ObserveViolation(s.hash, s.id)
 			}
 		}
 	}
@@ -297,7 +297,7 @@ func (s *Session) PostN(entries []queue.Entry, stop <-chan struct{}) (posted, sh
 		// The entry that failed admission was counted inside Admit; count
 		// the tail it doomed without re-running admission per entry.
 		s.shed.Add(1)
-		obs.SessionStats().ObserveShed(s.hash, s.id)
+		s.table.cfg.stats.ObserveShed(s.hash, s.id)
 		if admitErr == ErrShed {
 			s.table.loadShed.Add(1)
 			mSessLoadShed.Inc()
@@ -369,7 +369,7 @@ func (s *Session) finishClose(how string) {
 	// Safe to recycle: the closing path runs only after the final
 	// outstanding-message decrement, and every slot Observe precedes its
 	// own decrement (see release).
-	obs.SessionStats().FreeSlot(s.slot)
+	s.table.cfg.stats.FreeSlot(s.slot)
 	if obs.SpansEnabled() {
 		// Lifecycle journaling follows the data-plane rule (see the flight
 		// recorder's package comment): at session-churn rates an always-on

@@ -37,6 +37,11 @@ type Config struct {
 	// OnSLOViolation receives edge-triggered budget violations (nil for
 	// counter-only tracking). Runs on the releasing goroutine.
 	OnSLOViolation func(obs.SLOViolation)
+	// stats receives the table's per-session samples and heavy-hitter
+	// observations: the gateway-wide obs.SessionStats(), which /sessions
+	// and /watch read. In-package tests set a private collector so exact
+	// counts do not see another run's sessions.
+	stats *obs.SessionStatsCollector
 }
 
 // Defaults returns cfg with every unset field filled in.
@@ -58,6 +63,9 @@ func (cfg Config) Defaults() Config {
 	}
 	if cfg.AdmitBytes <= 0 {
 		cfg.AdmitBytes = cfg.ShedBytes / 2
+	}
+	if cfg.stats == nil {
+		cfg.stats = obs.SessionStats()
 	}
 	return cfg
 }
@@ -168,13 +176,13 @@ func (t *Table) Connect(id string) (*Session, error) {
 	// Sampler selection is by the same hash the table shards by, so it is
 	// deterministic per id and costs nothing extra here. The slot is
 	// attached before the session is published to the shard map.
-	s.slot = obs.SessionStats().AcquireSlot(h, id)
+	s.slot = t.cfg.stats.AcquireSlot(h, id)
 	sh := &t.shards[h&t.mask]
 	sh.mu.Lock()
 	if _, dup := sh.m[id]; dup {
 		sh.mu.Unlock()
 		t.live.Add(-1)
-		obs.SessionStats().FreeSlot(s.slot)
+		t.cfg.stats.FreeSlot(s.slot)
 		return nil, ErrDuplicate
 	}
 	sh.m[id] = s
@@ -191,7 +199,7 @@ func (t *Table) Connect(id string) (*Session, error) {
 func (t *Table) shedAdmission(id, why string) {
 	t.admitShed.Add(1)
 	mSessAdmitShed.Inc()
-	obs.SessionStats().ObserveShed(fnv1a(id), id)
+	t.cfg.stats.ObserveShed(fnv1a(id), id)
 	obs.FlightRecord(obs.FlightSessionShed, id, why, t.live.Load())
 }
 
